@@ -390,19 +390,19 @@ WorkloadReport RunRollup(bool smoke) {
 }
 
 // Per-kernel microbenches over the Fig. 12 workload's chunks: the three
-// vector primitives (masked run sum, weighted FMA merge, masked run copy)
-// timed with the dispatched ISA vs the forced-scalar oracle, with
-// bit-identity gated at every thread count. The chunk list is partitioned
-// into a FIXED shard count (independent of the thread count) and shard
-// partials merge in ascending shard order, so any thread count must produce
-// byte-identical results — the same determinism contract the aggregator's
-// partition plan follows.
+// run primitives (masked run sum, weighted FMA merge, masked run copy)
+// timed as the word-blocked kernel vs its ...Scalar per-element reference,
+// with bit-identity gated at every thread count. The chunk list is
+// partitioned into a FIXED shard count (independent of the thread count)
+// and shard partials merge in ascending shard order, so any thread count
+// must produce byte-identical results — the same determinism contract the
+// aggregator's partition plan follows.
 struct KernelMicroEntry {
   std::string name;
-  double scalar_ms = 0.0;             // forced-scalar oracle, serial.
-  double simd_ms = 0.0;               // dispatched ISA, serial.
-  std::map<int, double> threaded_ms;  // dispatched ISA, per thread count.
-  bool identical = true;  // dispatched == scalar oracle at every thread count.
+  double scalar_ms = 0.0;             // ...Scalar reference, serial.
+  double kernel_ms = 0.0;             // word-blocked kernel, serial.
+  std::map<int, double> threaded_ms;  // word-blocked kernel, per thread count.
+  bool identical = true;  // kernel == reference at every thread count.
 };
 
 struct KernelMicroReport {
@@ -412,11 +412,6 @@ struct KernelMicroReport {
 };
 
 constexpr int kKernelShards = 64;
-// Acceptance gate: the dispatched masked run sum must beat the scalar
-// oracle by at least this factor serially (only enforced when a SIMD ISA
-// actually dispatched — the forced-scalar CI build runs the bit-identity
-// gates but not the speedup gate).
-constexpr double kRunSumMinSimdSpeedup = 2.0;
 
 KernelMicroReport RunKernelMicro(bool smoke) {
   ProductCubeConfig config;
@@ -451,8 +446,8 @@ KernelMicroReport RunKernelMicro(bool smoke) {
   // dominate a per-chunk timing; the rollup kernel's natural unit is the
   // unit-stride run). One kernel call per fixed shard, shard partials
   // combined ascending: the digest is the byte image of every shard's
-  // (sum, count), so any reassociation or lane-shape deviation between
-  // ISAs shows up as a digest mismatch at some thread count.
+  // (sum, count), so any reassociation or lane-shape deviation from the
+  // reference shows up as a digest mismatch at some thread count.
   int64_t arena_total = 0;
   for (const Chunk* c : chunks) arena_total += c->size();
   std::vector<double> arena_values(arena_total, 0.0);
@@ -473,28 +468,29 @@ KernelMicroReport RunKernelMicro(bool smoke) {
   {
     KernelMicroEntry e;
     e.name = "masked_run_sum";
-    auto run = [&](int threads, std::vector<kernels::RunSum>* partials) {
+    auto run = [&](auto sum, int threads,
+                   std::vector<kernels::RunSum>* partials) {
       partials->assign(shards, {});
       for_shards(threads, [&](int s) {
         int64_t begin, end;
         cell_shard_range(s, &begin, &end);
-        (*partials)[s] = kernels::MaskedRunSum(
-            arena_values.data() + begin, arena_bits.data(), begin, end - begin);
+        (*partials)[s] = sum(arena_values.data() + begin, arena_bits.data(),
+                             begin, end - begin);
       });
     };
     std::vector<kernels::RunSum> oracle, got;
-    kernels::ForceScalar(true);
-    run(1, &oracle);
-    e.scalar_ms = BestOfMs(reps, [&] { run(1, &got); });
-    kernels::ForceScalar(false);
+    run(kernels::MaskedRunSumScalar, 1, &oracle);
+    e.scalar_ms =
+        BestOfMs(reps, [&] { run(kernels::MaskedRunSumScalar, 1, &got); });
     for (int threads : kThreadCounts) {
-      run(threads, &got);
+      run(kernels::MaskedRunSum, threads, &got);
       e.identical = e.identical &&
                     std::memcmp(oracle.data(), got.data(),
                                 oracle.size() * sizeof(kernels::RunSum)) == 0;
-      e.threaded_ms[threads] = BestOfMs(reps, [&] { run(threads, &got); });
+      e.threaded_ms[threads] =
+          BestOfMs(reps, [&] { run(kernels::MaskedRunSum, threads, &got); });
     }
-    e.simd_ms = e.threaded_ms.at(1);
+    e.kernel_ms = e.threaded_ms.at(1);
     report.entries.push_back(std::move(e));
   }
 
@@ -512,7 +508,7 @@ KernelMicroReport RunKernelMicro(bool smoke) {
     }
     const double null_bits = CellValue::ToStorage(CellValue());
     std::vector<double> dst(dst_offset[num_chunks]);
-    auto run = [&](int threads) {
+    auto run = [&](auto merge, int threads) {
       for_shards(threads, [&](int s) {
         int begin, end;
         shard_range(s, &begin, &end);
@@ -521,26 +517,26 @@ KernelMicroReport RunKernelMicro(bool smoke) {
           double* out = dst.data() + dst_offset[c];
           std::fill(out, out + ch.size(), null_bits);
           for (int pass = 0; pass < 2; ++pass) {
-            kernels::MergeWeightedRunIntoSentinel(
-                w, ch.ValuesSpan(), ch.NullBits().words(), 0, out, ch.size());
+            merge(w, ch.ValuesSpan(), ch.NullBits().words(), 0, out,
+                  ch.size());
           }
         }
       });
     };
     std::vector<double> oracle;
-    kernels::ForceScalar(true);
-    run(1);
+    run(kernels::MergeWeightedRunIntoSentinelScalar, 1);
     oracle = dst;
-    e.scalar_ms = BestOfMs(reps, [&] { run(1); });
-    kernels::ForceScalar(false);
+    e.scalar_ms = BestOfMs(
+        reps, [&] { run(kernels::MergeWeightedRunIntoSentinelScalar, 1); });
     for (int threads : kThreadCounts) {
-      run(threads);
+      run(kernels::MergeWeightedRunIntoSentinel, threads);
       e.identical = e.identical &&
                     std::memcmp(oracle.data(), dst.data(),
                                 dst.size() * sizeof(double)) == 0;
-      e.threaded_ms[threads] = BestOfMs(reps, [&] { run(threads); });
+      e.threaded_ms[threads] = BestOfMs(
+          reps, [&] { run(kernels::MergeWeightedRunIntoSentinel, threads); });
     }
-    e.simd_ms = e.threaded_ms.at(1);
+    e.kernel_ms = e.threaded_ms.at(1);
     report.entries.push_back(std::move(e));
   }
 
@@ -564,7 +560,7 @@ KernelMicroReport RunKernelMicro(bool smoke) {
     std::vector<double> values(arena_cells, 0.0);
     std::vector<uint64_t> bits((arena_cells + 63) / 64 + 1, 0);
     std::vector<int64_t> copied(num_chunks, 0);
-    auto run = [&](int threads) {
+    auto run = [&](auto copy, int threads) {
       std::fill(values.begin(), values.end(), 0.0);
       std::fill(bits.begin(), bits.end(), 0);
       for_shards(threads, [&](int s) {
@@ -572,25 +568,23 @@ KernelMicroReport RunKernelMicro(bool smoke) {
         shard_range(s, &begin, &end);
         for (int c = begin; c < end; ++c) {
           const Chunk& ch = *chunks[c];
-          copied[c] = kernels::CopyRunMasked(
-              ch.ValuesSpan(), ch.NullBits().words(), 0,
-              values.data() + dst_offset[c], bits.data(), dst_offset[c],
-              ch.size());
+          copied[c] = copy(ch.ValuesSpan(), ch.NullBits().words(), 0,
+                           values.data() + dst_offset[c], bits.data(),
+                           dst_offset[c], ch.size());
         }
       });
     };
     std::vector<double> oracle_values;
     std::vector<uint64_t> oracle_bits;
     std::vector<int64_t> oracle_copied;
-    kernels::ForceScalar(true);
-    run(1);
+    run(kernels::CopyRunMaskedScalar, 1);
     oracle_values = values;
     oracle_bits = bits;
     oracle_copied = copied;
-    e.scalar_ms = BestOfMs(reps, [&] { run(1); });
-    kernels::ForceScalar(false);
+    e.scalar_ms =
+        BestOfMs(reps, [&] { run(kernels::CopyRunMaskedScalar, 1); });
     for (int threads : kThreadCounts) {
-      run(threads);
+      run(kernels::CopyRunMasked, threads);
       e.identical =
           e.identical &&
           std::memcmp(oracle_values.data(), values.data(),
@@ -598,9 +592,10 @@ KernelMicroReport RunKernelMicro(bool smoke) {
           std::memcmp(oracle_bits.data(), bits.data(),
                       bits.size() * sizeof(uint64_t)) == 0 &&
           oracle_copied == copied;
-      e.threaded_ms[threads] = BestOfMs(reps, [&] { run(threads); });
+      e.threaded_ms[threads] =
+          BestOfMs(reps, [&] { run(kernels::CopyRunMasked, threads); });
     }
-    e.simd_ms = e.threaded_ms.at(1);
+    e.kernel_ms = e.threaded_ms.at(1);
     report.entries.push_back(std::move(e));
   }
 
@@ -828,15 +823,6 @@ void WriteJson(FILE* f, const std::vector<WorkloadReport>& reports,
   fprintf(f, "  \"bench\": \"bench_kernels\",\n");
   fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   fprintf(f, "  \"thread_counts\": [1, 2, 4, 8],\n");
-  // Which vector ISA the dispatched kernels resolved to on this machine —
-  // without this the per-kernel speedups below are uninterpretable across
-  // CI runners (and the forced-scalar job reports "scalar" here).
-  fprintf(f, "  \"cpu\": {\"kernel_isa\": \"%s\", \"simd_compiled_in\": %s, "
-          "\"avx2\": %s, \"neon\": %s},\n",
-          kernels::IsaName(kernels::ActiveIsa()),
-          kernels::SimdCompiledIn() ? "true" : "false",
-          kernels::ActiveIsa() == kernels::Isa::kAvx2 ? "true" : "false",
-          kernels::ActiveIsa() == kernels::Isa::kNeon ? "true" : "false");
   // hardware_cores is the effective parallelism the pool plans with (the
   // affinity-visible count); hardware_concurrency is the machine's raw
   // report, kept so CI runs on restricted cpusets are interpretable.
@@ -878,10 +864,10 @@ void WriteJson(FILE* f, const std::vector<WorkloadReport>& reports,
   for (size_t i = 0; i < micro.entries.size(); ++i) {
     const KernelMicroEntry& e = micro.entries[i];
     fprintf(f, "      {\"name\": \"%s\", \"bit_identical\": %s, "
-            "\"scalar_ms\": %.4f, \"simd_ms\": %.4f, \"simd_speedup\": %.2f, "
-            "\"threaded_ms\": {",
+            "\"scalar_ms\": %.4f, \"kernel_ms\": %.4f, "
+            "\"speedup_vs_scalar\": %.2f, \"threaded_ms\": {",
             e.name.c_str(), e.identical ? "true" : "false", e.scalar_ms,
-            e.simd_ms, e.simd_ms > 0 ? e.scalar_ms / e.simd_ms : 0.0);
+            e.kernel_ms, e.kernel_ms > 0 ? e.scalar_ms / e.kernel_ms : 0.0);
     bool first = true;
     for (const auto& [threads, ms] : e.threaded_ms) {
       fprintf(f, "%s\"%d\": %.4f", first ? "" : ", ", threads, ms);
@@ -976,30 +962,15 @@ int Main(int argc, char** argv) {
   }
 
   int failures = 0;
-  // The bit-identity gates run unconditionally (like the workload identity
-  // gates below); the speedup gate is --check only, and only binds when a
-  // SIMD ISA actually dispatched — the forced-scalar CI build would
-  // otherwise fail it by construction.
-  const bool simd_active = kernels::ActiveIsa() == kernels::Isa::kAvx2 ||
-                           kernels::ActiveIsa() == kernels::Isa::kNeon;
+  // The bit-identity gates run unconditionally, like the workload identity
+  // gates below.
   for (const KernelMicroEntry& e : micro.entries) {
     if (!e.identical) {
       fprintf(stderr,
-              "FAIL kernel %s: dispatched (%s) output differs from the "
-              "scalar oracle\n",
-              e.name.c_str(), kernels::IsaName(kernels::ActiveIsa()));
+              "FAIL kernel %s: output differs from the ...Scalar "
+              "reference\n",
+              e.name.c_str());
       ++failures;
-    }
-    if (check && simd_active && e.name == "masked_run_sum") {
-      const double speedup = e.simd_ms > 0 ? e.scalar_ms / e.simd_ms : 0.0;
-      if (speedup < kRunSumMinSimdSpeedup) {
-        fprintf(stderr,
-                "FAIL kernel %s: %s serial speedup %.2fx < %.1fx over the "
-                "scalar oracle\n",
-                e.name.c_str(), kernels::IsaName(kernels::ActiveIsa()),
-                speedup, kRunSumMinSimdSpeedup);
-        ++failures;
-      }
     }
   }
   if (check) {

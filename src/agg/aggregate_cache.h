@@ -124,9 +124,9 @@ class AggregateCache {
   bool incremental() const { return incremental_; }
 
   // Propagates an in-place chunk swap of the cached cube into every
-  // resident view: subtract `before`'s cells (w = -1 through the same SIMD
-  // row tiling as the build), add `after`'s (w = +1), then restore ⊥ on
-  // cells whose contribution count hit zero. Either chunk pointer may be
+  // resident view: subtract `before`'s cells (w = -1 through the same
+  // row-tiled kernels as the build), add `after`'s (w = +1), then restore
+  // ⊥ on cells whose contribution count hit zero. Either chunk pointer may be
   // null (chunk created / erased). Surviving views count toward
   // cache.invalidate.views_kept; a non-incremental cache instead drops its
   // views (cache.invalidate.views_dropped). Exact (not just close) on

@@ -120,8 +120,8 @@ void AccumulateChunkIntoGroupBys(const ChunkLayout& layout, ChunkId id,
 
 // Single-view weighted variant for delta maintenance: accumulates
 // `weight` * every non-⊥ cell of `chunk` into `view` (⊥-aware; a ⊥ output
-// cell becomes the weighted value), through the same row-tiled kernel
-// dispatch as AccumulateChunkIntoGroupBys. With w = -1 this is exact
+// cell becomes the weighted value), through the same row-tiled kernels as
+// AccumulateChunkIntoGroupBys. With w = -1 this is exact
 // subtraction on integer-valued data (fma(-1, x, s) = s - x), which is how
 // AggregateCache patches resident views after a chunk swap: subtract the
 // old chunk, add the new one.

@@ -3,51 +3,33 @@
 
 #include <cstdint>
 
-// Vectorized primitives over the bitmap chunk layout (dense 64-byte-aligned
-// double array + validity bitmap, see cube/chunk.h). Each primitive exists
-// twice: a `...Scalar` reference whose per-element arithmetic *defines* the
-// result, and a dispatched entry point that resolves at runtime to an AVX2
-// (x86), NEON (aarch64) or portable word-blocked implementation. Every
-// dispatched implementation is bit-identical to the scalar reference — the
-// lane shapes below are fixed independent of ISA so the reassociation
-// pattern is part of the contract, not an implementation detail:
+// Run primitives over the bitmap chunk layout (dense 64-byte-aligned double
+// array + validity bitmap, see cube/chunk.h). Each masked primitive has one
+// word-blocked body — the mask is read one 64-bit word at a time, and the
+// all-valid / all-invalid words run dense loops the compiler auto-vectorizes
+// — plus a `...Scalar` per-element reference whose arithmetic *defines* the
+// result. The body must stay bit-identical to its reference, so the
+// following shapes are part of the contract, not implementation details:
 //
 //  - MaskedRunSum uses four virtual lanes: acc[i mod 4] += v[i] for valid i,
-//    combined as (acc0+acc1)+(acc2+acc3). AVX2 keeps the four lanes in one
-//    ymm register; NEON uses two 2-lane registers; scalar keeps four
-//    doubles. Invalid elements contribute +0.0 to their lane, which is a
-//    bitwise no-op because a lane accumulator seeded with +0.0 can never
-//    become -0.0 under round-to-nearest addition.
+//    combined as (acc0+acc1)+(acc2+acc3). Changing the lane count or the
+//    combine order would change the bits of every fractional rollup.
 //  - The merge kernels compute fma(w, src, dst) per element (one rounding,
-//    IEEE fusedMultiplyAdd — identical in std::fma, vfmadd and vfmaq) and
-//    w*src when dst is ⊥, so at w == 1.0 they reproduce plain `src + dst`
-//    and verbatim `src` exactly; the engine only merges at w == 1.0.
+//    IEEE fusedMultiplyAdd) and w*src when dst is ⊥, so at w == 1.0 they
+//    reproduce plain `src + dst` and verbatim `src` exactly; the engine only
+//    merges at w == 1.0.
 //
 // Values must not be NaN (⊥ lives in the bitmap / sentinel, and CellValue
 // canonicalises NaN on entry), so a computed result can never collide with
 // the sentinel bit pattern.
 namespace olap::kernels {
 
-enum class Isa { kScalar, kPortable, kAvx2, kNeon };
+// The kernel implementation in use. There is exactly one; the name is kept
+// for the provenance block of benchmark results.
+enum class Isa { kPortable };
 
-// "scalar" | "portable" | "avx2" | "neon".
-const char* IsaName(Isa isa);
-
-// The implementation the dispatched entry points currently resolve to.
-// Resolution order: ForceScalar(true) or the OLAP_FORCE_SCALAR_KERNELS
-// environment variable -> kScalar; built with OLAP_DISABLE_SIMD ->
-// kPortable; x86 with AVX2+FMA -> kAvx2; aarch64 -> kNeon; else kPortable.
-Isa ActiveIsa();
-
-// False when the binary was built with -DOLAP_DISABLE_SIMD=ON (no intrinsic
-// code paths compiled in).
-bool SimdCompiledIn();
-
-// Test/bench hook: route the dispatched entry points to the scalar
-// reference implementations (true) or back to normal resolution (false).
-// Not thread-safe against concurrent kernel calls; flip it only around
-// single-threaded setup.
-void ForceScalar(bool on);
+inline const char* IsaName(Isa) { return "portable"; }
+inline Isa ActiveIsa() { return Isa::kPortable; }
 
 // Sum and population count of one masked run.
 struct RunSum {
@@ -77,11 +59,10 @@ void MergeWeightedRunIntoSentinelScalar(double w, const double* src_values,
                                         int64_t len);
 
 // Sentinel-to-sentinel flavor (GroupByResult partial merges): ⊥ src
-// elements are skipped, otherwise as above.
+// elements are skipped, otherwise as above. A single per-element body:
+// with no mask there is no word to block on.
 void MergeWeightedSentinelRun(double w, const double* src, double* dst,
                               int64_t len);
-void MergeWeightedSentinelRunScalar(double w, const double* src, double* dst,
-                                    int64_t len);
 
 // Copies every valid src element (bits starting at src_bit_offset) into the
 // destination arrays at the same relative position (bits starting at
@@ -114,12 +95,8 @@ int64_t DecodeSentinelRunScalar(const double* raw, double* values,
                                 uint64_t* valid, int64_t bit_offset,
                                 int64_t len);
 
-// Population count of the bit range [bit_offset, bit_offset + len).
-// Word-blocked; not ISA-dispatched (std::popcount is already one insn).
-int64_t PopcountRange(const uint64_t* words, int64_t bit_offset, int64_t len);
-
 // True when any bit in [bit_offset, bit_offset + len) is set. Word-blocked
-// with early exit; not ISA-dispatched.
+// with early exit.
 bool AnyBitInRange(const uint64_t* words, int64_t bit_offset, int64_t len);
 
 namespace detail {

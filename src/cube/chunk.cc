@@ -53,18 +53,6 @@ Chunk& Chunk::operator=(const Chunk& other) {
 
 int64_t Chunk::CountNonNull() const { return nonnull_.Count(); }
 
-void Chunk::AccumulateFrom(const Chunk& other) {
-  assert(size() == other.size());
-  other.nonnull_.ForEachSetBit([&](int i) {
-    if (nonnull_.Test(i)) {
-      values_[i] += other.values_[i];
-    } else {
-      values_[i] = other.values_[i];
-      nonnull_.Set(i);
-    }
-  });
-}
-
 bool Chunk::RunHasNonNull(int64_t offset, int64_t len) const {
   assert(offset >= 0 && offset + len <= size());
   return kernels::AnyBitInRange(nonnull_.words(), offset, len);

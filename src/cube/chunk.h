@@ -71,11 +71,6 @@ class Chunk {
   // Number of non-⊥ cells.
   int64_t CountNonNull() const;
 
-  // Adds every non-⊥ cell of `other` into this chunk (⊥-skipping addition);
-  // both chunks must have the same size. Used when merging the sub-cubes of
-  // related member instances (Sec. 5.1).
-  void AccumulateFrom(const Chunk& other);
-
   // --- Run kernels (chunk-native what-if evaluation) ----------------------
   //
   // The what-if operators move data between cubes in contiguous cell runs

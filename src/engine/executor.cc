@@ -104,7 +104,11 @@ void ApplyAutoScope(const BoundQuery& bound, const Cube& cube,
     for (const auto& [dim, ref] : t.refs) {
       if (dim != spec->varying_dim) continue;
       mentions_varying = true;
-      if (ref.instance != kInvalidInstance || vd.member(ref.member).is_leaf()) {
+      // A member introduced by the query is not in the stored dimension;
+      // it leaves the merge unscoped, like an aggregate.
+      const bool stored = ref.member < vd.num_members();
+      if (stored && (ref.instance != kInvalidInstance ||
+                     vd.member(ref.member).is_leaf())) {
         members.insert(ref.member);
       } else {
         aggregates_varying = true;

@@ -283,8 +283,10 @@ void ChunkPipeline::RunBatch(Batch batch) {
       }
     }
     --in_flight_batches_;
+    // Notify under the lock: once in_flight_batches_ hits zero the
+    // destructor may return and destroy cv_ as soon as it can take mu_.
+    cv_.notify_all();
   }
-  cv_.notify_all();
 }
 
 Result<ChunkPipeline::Pin> ChunkPipeline::Next() {

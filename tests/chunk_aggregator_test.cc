@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -86,6 +87,20 @@ struct AggCase {
   double density;
   std::vector<int> order;
 };
+
+// Without a printer gtest names each case by the raw bytes of AggCase,
+// which include the vectors' heap addresses, so the ctest names that
+// gtest_discover_tests derives would change with every build.
+void PrintTo(const AggCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_extents";
+  for (size_t i = 0; i < c.extents.size(); ++i) {
+    *os << (i == 0 ? "" : "x") << c.extents[i];
+  }
+  *os << "_chunk" << c.chunk_size << "_density" << c.density << "_order";
+  for (size_t i = 0; i < c.order.size(); ++i) {
+    *os << (i == 0 ? "" : "-") << c.order[i];
+  }
+}
 
 class ChunkAggEquivalence : public ::testing::TestWithParam<AggCase> {};
 
