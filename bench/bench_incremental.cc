@@ -312,6 +312,7 @@ int Main(int argc, char** argv) {
   fprintf(f, "  \"hardware_cores\": %d,\n", ThreadPool::HardwareCores());
   fprintf(f, "  \"hardware_concurrency\": %u,\n",
           std::max(1u, std::thread::hardware_concurrency()));
+  fprintf(f, "  \"affinity_cores\": %d,\n", ThreadPool::AffinityVisibleCores());
   fprintf(f, "  \"grid_cells\": %lld,\n", static_cast<long long>(total_cells));
   fprintf(f, "  \"stored_chunks\": %lld,\n",
           static_cast<long long>(base.NumStoredChunks()));

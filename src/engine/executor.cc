@@ -253,7 +253,7 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
 
   if (!specs.empty()) {
     // Single-what-if queries can confine the instance merge (Sec. 6.3).
-    if (specs.size() == 1 && options.auto_scope) {
+    if (specs.size() == 1) {
       ApplyAutoScope(*bound, **cube, &specs[0]);
     }
 
@@ -650,7 +650,7 @@ Result<QueryResult> Executor::ExecuteCompare(const mdx::ParsedQuery& parsed,
   }
 
   auto scenarios_of = [&](BoundQuery& q) {
-    if (q.specs.size() == 1 && options.auto_scope) {
+    if (q.specs.size() == 1) {
       ApplyAutoScope(q, **cube, &q.specs[0]);
     }
     std::vector<ScenarioSpec> out;
@@ -836,7 +836,7 @@ static Result<std::string> ExplainOne(const Database* db,
            (*cube)->schema().dimension(allocation.dim).name() + "'\n";
   }
   for (WhatIfSpec spec : bound->specs) {
-    if (options.auto_scope && bound->specs.size() == 1) {
+    if (bound->specs.size() == 1) {
       ApplyAutoScope(*bound, **cube, &spec);
     }
     out += "what-if: dimension '" +

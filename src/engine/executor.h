@@ -29,10 +29,6 @@ struct QueryOptions {
   EvalStrategy strategy = EvalStrategy::kDirect;
   // Charges chunk fetches to this device when non-null.
   SimulatedDisk* disk = nullptr;
-  // Confine instance merging to the varying members the query actually
-  // touches (the Sec. 6.3 optimisation). Disabled automatically for visual
-  // mode and when the query aggregates over the varying dimension.
-  bool auto_scope = true;
   // Number of threads evaluating the query (1 = serial). Governs both the
   // what-if data movement (Split/Relocate chunk kernels) and grid-cell
   // evaluation, all on the process-wide shared pool; results are
